@@ -167,44 +167,80 @@ def matrix_from_spec(
 
 
 # ----------------------------------------------------------------------
-# Maximal-rectangle (formal concept) enumeration — the LP's column set
+# Maximal-rectangle (formal concept) enumeration — LP columns and branches
 # ----------------------------------------------------------------------
+
+
+def _concept_masks(
+    allow: list[int],
+    col_rows: list[int],
+    rows: int,
+    universe: int,
+    limit: int | None = None,
+) -> list[MaskRect] | None:
+    """The concepts of ``allow`` inside the extent ``rows``, or ``None``.
+
+    Close-by-One enumeration of the formal concepts (maximal rectangles)
+    of the allowed-cell relation reachable from the start concept — the
+    one with extent ``rows`` — by adding columns of ``universe``;
+    ``col_rows[j]`` is the mask of rows allowing column ``j``.  The start
+    concept comes first, and the rest follow in increasing order of their
+    least generating column subset read as an integer: the order in which
+    a walk over all ``2^k`` subsets of ``universe`` would first close onto
+    each one.
+
+    That order is built directly.  Removing the highest column of a least
+    generator leaves a least generator, so the walk takes the universe
+    columns ``j`` in increasing order and extends every concept found so
+    far by ``j``; an extension whose extent is new is exactly a least
+    generator, because every smaller generator has already been closed.
+    The cost is one AND per (concept, column) pair plus one
+    ``and_reduce`` per concept — proportional to the output, not to
+    ``2^k``.  Returns ``None`` once more than ``limit`` concepts exist.
+    """
+    backend = get_backend()
+    out: list[MaskRect] = [(rows, backend.and_reduce(allow, rows))]
+    seen = {rows}
+    for j in iter_bits(universe):
+        bit, column = 1 << j, col_rows[j]
+        for k in range(len(out)):  # concepts appended in this pass hold j
+            extent, intent = out[k]
+            if intent & bit:
+                continue
+            extent &= column
+            if not extent or extent in seen:
+                continue
+            seen.add(extent)
+            out.append((extent, backend.and_reduce(allow, extent)))
+            if limit is not None and len(out) > limit:
+                return None
+    return out
+
+
+def _rects_through(allow: list[int], col_rows: list[int], i0: int, j0: int) -> list[MaskRect]:
+    """All maximal rectangles of ``allow`` through the allowed cell ``(i0, j0)``.
+
+    The concepts with ``i0`` in the extent and ``j0`` in the intent: start
+    from the closure of ``{j0}`` and add columns of ``allow[i0]`` only.
+    """
+    return _concept_masks(allow, col_rows, col_rows[j0], allow[i0])
 
 
 def _all_maximal_masks(allow: list[int], n_cols: int, limit: int) -> list[MaskRect] | None:
     """All inclusion-maximal non-empty rectangles of ``allow``, or ``None``.
 
-    Close-by-One enumeration of the formal concepts of the allowed-cell
-    relation: each concept is generated exactly once, at the recursion
-    path of its lexicographically-least column generator, recognised by
-    the canonicity test (no column below the branch column may join the
-    closure).  Returns ``None`` when more than ``limit`` rectangles
-    exist — callers must then skip bounds that need the *complete* set.
+    The concepts reachable from the top concept (every row) by adding any
+    column, less the top itself when no column is common to all rows.
+    Returns ``None`` when more than ``limit`` rectangles exist — callers
+    must then skip bounds that need the *complete* set.
     """
-    backend = get_backend()
-    out: list[MaskRect] = []
-
-    def descend(cols: int, rows: int, start: int) -> bool:
-        for j in range(start, n_cols):
-            bit = 1 << j
-            if cols & bit:
-                continue
-            rows2 = backend.superset_rows(allow, cols | bit)
-            if not rows2:
-                continue
-            cols2 = backend.and_reduce(allow, rows2)
-            if (cols2 ^ cols) & (bit - 1):
-                continue  # a lower column joined: generated elsewhere
-            out.append((rows2, cols2))
-            if len(out) > limit:
-                return False
-            if not descend(cols2, rows2, j + 1):
-                return False
-        return True
-
-    if not descend(0, (1 << len(allow)) - 1 if allow else 0, 0):
+    col_rows = get_backend().transpose_masks(allow, n_cols)
+    out = _concept_masks(allow, col_rows, (1 << len(allow)) - 1, (1 << n_cols) - 1, limit + 1)
+    if out is None:
         return None
-    return out
+    if not (out[0][0] and out[0][1]):
+        del out[0]
+    return out if len(out) <= limit else None
 
 
 def all_maximal_rectangles(
@@ -351,26 +387,29 @@ def _greedy_fooling_size(allow: list[int], n_cols: int, uncovered: int) -> int:
     two cells conflict (cannot both be kept) iff they fit in a common
     all-ones rectangle of ``allow``: ``allow[i] ∋ j'`` and
     ``allow[i'] ∋ j``.
+
+    The scan runs a row at a time.  A cell ``(i, j)`` conflicts with an
+    earlier row ``i2`` iff ``j ∈ allow[i2]`` and ``i2`` kept a column of
+    ``allow[i]``, so those rows' ``allow`` masks OR into one blocked set.
+    Within row ``i`` the survivors outside ``allow[i]`` never conflict
+    with each other, and the first survivor inside ``allow[i]`` blocks
+    every later one — the same cells the cell-by-cell scan keeps.
     """
-    kept_in_row = [0] * len(allow)
-    kept_rows = 0
+    full = (1 << n_cols) - 1
+    kept = []  # (allow[i2], columns kept in row i2) per row with a kept cell
     size = 0
-    for bit in iter_bits(uncovered):
-        i, j = divmod(bit, n_cols)
-        row_i = allow[i]
-        col_rows = kept_rows
-        conflict = False
-        while col_rows:
-            low = col_rows & -col_rows
-            i2 = low.bit_length() - 1
-            col_rows ^= low
-            if (allow[i2] >> j) & 1 and kept_in_row[i2] & row_i:
-                conflict = True
-                break
-        if not conflict:
-            kept_in_row[i] |= 1 << j
-            kept_rows |= 1 << i
-            size += 1
+    for i, row_i in enumerate(allow):
+        cells = (uncovered >> (i * n_cols)) & full
+        if not cells:
+            continue
+        for allow_i2, kept_i2 in kept:
+            if kept_i2 & row_i:
+                cells &= ~allow_i2
+        inside = cells & row_i
+        cells = (cells & ~row_i) | (inside & -inside)
+        if cells:
+            kept.append((row_i, cells))
+            size += cells.bit_count()
     return size
 
 
@@ -655,15 +694,16 @@ def solve_cover(
         )
 
     # -- branch and bound on the uncovered-cell bitmask ----------------
-    from repro.comm.covers import _maximal_masks
-
     visited: dict[int, int] = {}
     chosen: list[MaskRect] = []
     rect_cache: dict[tuple[int, int], list[tuple[MaskRect, int]]] = {}
+    allow_full_cols = [] if disjoint else backend.transpose_masks(allow_full, n_cols)
 
-    def branch_cell(uncovered: int, residual: list[int]) -> tuple[int, int]:
+    def branch_cell(
+        uncovered: int, residual: list[int], residual_cols: list[int]
+    ) -> tuple[int, int]:
         # Least-flexible uncovered cell: thinnest residual row + column.
-        col_pops = [m.bit_count() for m in backend.transpose_masks(residual, n_cols)]
+        col_pops = [m.bit_count() for m in residual_cols]
         row_pops = [m.bit_count() for m in residual]
         best_cell = (-1, -1)
         best_score = None
@@ -695,18 +735,19 @@ def solve_cover(
             need = max(need, backend.gf2_rank(residual, n_cols))
         if depth + max(1, need) >= len(best):
             return
-        i0, j0 = branch_cell(uncovered, residual)
+        residual_cols = backend.transpose_masks(residual, n_cols)
+        i0, j0 = branch_cell(uncovered, residual, residual_cols)
         if disjoint:
             candidates = [
                 (rect, cells_of_rect(rect[0], rect[1], n_cols))
-                for rect in _maximal_masks(residual, i0, j0)
+                for rect in _rects_through(residual, residual_cols, i0, j0)
             ]
         else:
             cached = rect_cache.get((i0, j0))
             if cached is None:
                 cached = [
                     (rect, cells_of_rect(rect[0], rect[1], n_cols))
-                    for rect in _maximal_masks(allow_full, i0, j0)
+                    for rect in _rects_through(allow_full, allow_full_cols, i0, j0)
                 ]
                 rect_cache[(i0, j0)] = cached
             candidates = cached

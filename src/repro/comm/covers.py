@@ -105,37 +105,6 @@ def _grow_rectangle(
     return _rect_from_masks(rows, cols)
 
 
-def _maximal_masks(allow: list[int], i0: int, j0: int) -> list[MaskRect]:
-    """All inclusion-maximal allowed rectangles through the seed, as masks.
-
-    Column-set-first enumeration: every maximal rectangle is the row
-    closure of its column set, and its column set extends the seed column
-    within the seed row's allowed columns.  Exponential in the number of
-    candidate columns, as the exact cover search requires.
-    """
-    backend = get_backend()
-    candidates = list(iter_bits(allow[i0]))
-    seed_col = 1 << j0
-    seen: set[MaskRect] = set()
-    results: list[MaskRect] = []
-    for subset in range(1 << len(candidates)):
-        cols = seed_col
-        bits = subset
-        while bits:
-            low = bits & -bits
-            cols |= 1 << candidates[low.bit_length() - 1]
-            bits ^= low
-        rows = backend.superset_rows(allow, cols)
-        if not rows:
-            continue
-        # Close the columns against the rows for maximality.
-        rect = (rows, backend.and_reduce(allow, rows))
-        if rect not in seen:
-            seen.add(rect)
-            results.append(rect)
-    return results
-
-
 def maximal_rectangles_at(
     matrix: CommMatrix | PackedMatrix,
     seed: tuple[int, int],
@@ -143,14 +112,27 @@ def maximal_rectangles_at(
 ) -> list[Rect]:
     """All inclusion-maximal all-ones rectangles through ``seed``.
 
-    Enumerated by choosing each subset of compatible columns' closure —
-    exponential in the worst case, so callers cap the matrix size.
+    Enumerated by Close-by-One over the seed row's allowed columns, in
+    order of each rectangle's least generating column subset; the cost is
+    the number of rectangles times the candidate columns.  The seed must
+    be an allowed 1-entry: anything else raises a ``ValueError`` naming
+    the seed cell.
     """
+    from repro.comm.cover import _rects_through
+
     pm = as_packed(matrix)
     i0, j0 = seed
     allow = _allow_rows(pm, allowed)
+    n_rows, n_cols = pm.shape
+    if not (0 <= i0 < n_rows and 0 <= j0 < n_cols and allow[i0] >> j0 & 1):
+        raise ValueError(
+            f"seed cell ({i0}, {j0}) is not an allowed 1-entry of the "
+            f"{n_rows}x{n_cols} matrix"
+        )
+    col_rows = get_backend().transpose_masks(allow, n_cols)
     return [
-        _rect_from_masks(rows, cols) for rows, cols in _maximal_masks(allow, i0, j0)
+        _rect_from_masks(rows, cols)
+        for rows, cols in _rects_through(allow, col_rows, i0, j0)
     ]
 
 

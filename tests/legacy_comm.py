@@ -438,3 +438,39 @@ def frozen_packed_minimum_cover(matrix, node_budget: int = 2_000_000) -> list[Re
         return frozenset(out)
 
     return [(bits(rows), bits(cols)) for rows, cols in best]
+
+
+# ----------------------------------------------------------------------
+# The cell-by-cell greedy fooling scan of repro.comm.cover, frozen when
+# the solver moved to a row-at-a-time scan.  Backend-free on purpose.
+# ----------------------------------------------------------------------
+
+
+def frozen_greedy_fooling_size(allow: list[int], n_cols: int, uncovered: int) -> int:
+    """Row-major scan over every uncovered cell, keeping each cell that
+    conflicts with no kept cell; ``(i, j)`` and ``(i2, j2)`` conflict iff
+    ``j2 ∈ allow[i]`` and ``j ∈ allow[i2]``.
+    """
+    kept_in_row = [0] * len(allow)
+    kept_rows = 0
+    size = 0
+    scan = uncovered
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        i, j = divmod(low.bit_length() - 1, n_cols)
+        row_i = allow[i]
+        col_rows = kept_rows
+        conflict = False
+        while col_rows:
+            low_row = col_rows & -col_rows
+            i2 = low_row.bit_length() - 1
+            col_rows ^= low_row
+            if (allow[i2] >> j) & 1 and kept_in_row[i2] & row_i:
+                conflict = True
+                break
+        if not conflict:
+            kept_in_row[i] |= 1 << j
+            kept_rows |= 1 << i
+            size += 1
+    return size

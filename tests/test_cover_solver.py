@@ -14,8 +14,10 @@ Three oracle layers, per the frozen-oracle pattern:
 
 from __future__ import annotations
 
+import json
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +376,25 @@ class TestSpecsAndValidation:
         with pytest.raises(ValueError, match=r"\(0, 99\)"):
             maximal_rectangles_at(matrix, (0, 0), frozenset({(0, 0), (0, 99)}))
 
+    def test_maximal_rectangles_at_rejects_a_seed_that_is_not_allowed(self):
+        # The seed used to be taken on trust: a 0-entry seed returned
+        # rectangles over rows {1, 2} and {1}, none containing the seed.
+        from repro.comm import maximal_rectangles_at
+
+        entries = [[1, 0, 1], [1, 1, 1], [0, 1, 1]]
+        pm = PackedMatrix.from_entries(entries)
+        ones = frozenset(pm.ones())
+        with pytest.raises(ValueError, match=r"seed cell \(0, 1\)"):
+            maximal_rectangles_at(pm, (0, 1), ones)
+        with pytest.raises(ValueError, match=r"seed cell \(1, 1\)"):
+            maximal_rectangles_at(pm, (1, 1), ones - {(1, 1)})
+        with pytest.raises(ValueError, match=r"seed cell \(3, 0\)"):
+            maximal_rectangles_at(pm, (3, 0), ones)
+        with pytest.raises(ValueError, match=r"seed cell \(0, -1\)"):
+            maximal_rectangles_at(pm, (0, -1), ones)
+        for rows, cols in maximal_rectangles_at(pm, (1, 1), ones):
+            assert 1 in rows and 1 in cols
+
 
 # ----------------------------------------------------------------------
 # Bit-exactness across backends
@@ -460,3 +481,156 @@ class TestJobsAndBench:
         payload = json.loads(json.dumps(result.to_json()))
         assert payload["size"] == 7
         assert isinstance(result, CoverResult)
+
+
+# ----------------------------------------------------------------------
+# The output-sensitive search loops against their frozen originals
+# ----------------------------------------------------------------------
+
+
+def permuted_entries(spec: str, seed: int) -> list[list[int]]:
+    """The named matrix with rows, then columns, shuffled by ``Random(seed)``."""
+    pm = matrix_from_spec(spec)
+    grid = [[pm.row_masks[i] >> j & 1 for j in range(pm.n_cols)] for i in range(pm.n_rows)]
+    rng = random.Random(seed)
+    rows, cols = list(range(pm.n_rows)), list(range(pm.n_cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[grid[r][c] for c in cols] for r in rows]
+
+
+def random_allow(rng: random.Random, max_side: int = 8) -> tuple[list[int], int]:
+    n_rows, n_cols = rng.randrange(1, max_side + 1), rng.randrange(1, max_side + 1)
+    density = rng.choice((0.3, 0.5, 0.7, 0.9))
+    allow = [
+        sum(1 << j for j in range(n_cols) if rng.random() < density)
+        for _ in range(n_rows)
+    ]
+    return allow, n_cols
+
+
+def search_branch_calls(monkeypatch, matrix, mode: str):
+    """Every ``(allow, i0, j0, rects)`` the search enumerated, in order."""
+    import repro.comm.cover as cover_module
+
+    calls = []
+    enumerate_rects = cover_module._rects_through
+
+    def record(allow, col_rows, i0, j0):
+        rects = enumerate_rects(allow, col_rows, i0, j0)
+        calls.append((list(allow), i0, j0, rects))
+        return rects
+
+    monkeypatch.setattr(cover_module, "_rects_through", record)
+    solve_cover(matrix, mode=mode)
+    monkeypatch.undo()
+    return calls
+
+
+class TestOutputSensitiveSearch:
+    def test_rects_through_matches_the_frozen_subset_walk(self):
+        # List equality, order included: the search's stable sort keeps
+        # ties in enumeration order, so the order decides the tree.
+        from repro.backend import get_backend
+        from repro.comm.cover import _rects_through
+        from tests.legacy_comm import _pk_maximal_masks
+
+        rng = random.Random(7101)
+        checked = 0
+        for _ in range(600):
+            allow, n_cols = random_allow(rng)
+            cells = [
+                (i, j) for i, row in enumerate(allow) for j in range(n_cols) if row >> j & 1
+            ]
+            if not cells:
+                continue
+            i0, j0 = rng.choice(cells)
+            col_rows = get_backend().transpose_masks(allow, n_cols)
+            assert _rects_through(allow, col_rows, i0, j0) == _pk_maximal_masks(
+                allow, i0, j0
+            ), (allow, i0, j0)
+            checked += 1
+        assert checked > 500
+
+    def test_rects_through_matches_the_frozen_walk_on_search_residuals(self, monkeypatch):
+        # Residual tables exactly as a real search hands them over: the
+        # uncovered cells of disjoint-mode nodes, the full matrix of
+        # cover-mode nodes.
+        from tests.legacy_comm import _pk_maximal_masks
+
+        rng = random.Random(7102)
+        searched = {"disjoint": 0, "cover": 0}
+        matrix, mode = permuted_entries("intersection:4", 0), "cover"
+        while min(searched.values()) < 4:
+            calls = search_branch_calls(monkeypatch, matrix, mode)
+            for allow, i0, j0, rects in calls:
+                assert rects == _pk_maximal_masks(allow, i0, j0), (matrix, mode)
+            searched[mode] += bool(calls)
+            matrix = random_entries(rng, max_side=7, density=0.55)
+            mode = rng.choice(("disjoint", "cover"))
+
+    def test_greedy_fooling_row_scan_matches_the_cell_scan(self):
+        from repro.comm.cover import _greedy_fooling_size
+        from tests.legacy_comm import frozen_greedy_fooling_size
+
+        rng = random.Random(7103)
+        for _ in range(1500):
+            allow, n_cols = random_allow(rng)
+            n_cells = len(allow) * n_cols
+            inside = 0
+            for i, row in enumerate(allow):
+                inside |= row << (i * n_cols)
+            # Uncovered cells inside allow only, and (the budget path and
+            # residual bounds allow it) cells outside allow too.
+            any_cells = sum(1 << b for b in range(n_cells) if rng.random() < 0.6)
+            for uncovered in (inside, inside & any_cells, any_cells):
+                assert _greedy_fooling_size(allow, n_cols, uncovered) == (
+                    frozen_greedy_fooling_size(allow, n_cols, uncovered)
+                ), (allow, n_cols, uncovered)
+
+    def test_greedy_fooling_row_scan_on_the_named_families(self):
+        from repro.comm.cover import _greedy_fooling_size
+        from tests.legacy_comm import frozen_greedy_fooling_size
+
+        for spec in ("intersection:5", "disjointness:5", "equality:5"):
+            pm = matrix_from_spec(spec)
+            allow, uncovered = list(pm.row_masks), pm.cells_mask()
+            assert _greedy_fooling_size(allow, pm.n_cols, uncovered) == (
+                frozen_greedy_fooling_size(allow, pm.n_cols, uncovered)
+            )
+
+
+# ----------------------------------------------------------------------
+# Pinned search trees: recorded from the subset-walk solver
+# ----------------------------------------------------------------------
+
+
+PINNED_CASES = json.loads((Path(__file__).parent / "data" / "cover_pinned.json").read_text())
+
+
+class TestPinnedSearchTrees:
+    @pytest.mark.parametrize(
+        "case",
+        PINNED_CASES,
+        ids=lambda c: f"{c['spec']}-{c['mode']}-perm{c['permutation_seed']}",
+    )
+    def test_to_json_matches_the_recorded_tree(self, case):
+        # Recorded before the search moved to Close-by-One enumeration:
+        # the same nodes, bounds and cover, rectangle for rectangle.
+        seed = case["permutation_seed"]
+        matrix = case["spec"] if seed is None else permuted_entries(case["spec"], seed)
+        payload = json.loads(json.dumps(solve_cover(matrix, mode=case["mode"]).to_json()))
+        assert payload == case["result"]
+
+    def test_disjointness_5_cover_certifies_32(self):
+        # Former cliff: the per-node 2^k subset walk never finished here.
+        result = solve_cover("disjointness:5", mode="cover")
+        assert result.size == result.lower_bound == 32
+        assert result.optimal
+        assert result.nodes_expanded == 32
+
+    def test_permuted_intersection_6_disjoint_certifies_63(self):
+        result = solve_cover(permuted_entries("intersection:6", 0))
+        assert result.size == result.lower_bound == 63
+        assert result.optimal
+        assert result.nodes_expanded == 64
