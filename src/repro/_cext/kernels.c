@@ -17,7 +17,7 @@
  *
  * Only kernels whose exact-integer semantics survive fixed-width limbs
  * live here: popcounts, bit enumeration, transposes, chunked
- * subset-construction step tables, GF(2) elimination, Hopcroft splits,
+ * subset-construction step tables, GF(2) elimination,
  * rectangle cell masks.  Anything needing unbounded integers (Bareiss,
  * transfer-matrix products, the SWAR bilinear sweep) stays in Python,
  * delegated to the inherited reference/words kernels.
@@ -601,111 +601,6 @@ kernels_cells_of_rect(PyObject *Py_UNUSED(self), PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* hopcroft_split                                                      */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-kernels_hopcroft_split(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    Py_buffer preimage;
-    PyObject *block_of;
-    if (!PyArg_ParseTuple(args, "y*O:hopcroft_split", &preimage, &block_of))
-        return NULL;
-    PyObject *seq = PySequence_Fast(block_of, "hopcroft_split expects a sequence");
-    if (seq == NULL) {
-        PyBuffer_Release(&preimage);
-        return NULL;
-    }
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    Py_ssize_t mask_limbs = limb_count(preimage.len);
-    const unsigned char *buf = preimage.buf;
-
-    /* Accumulate per-block masks in C limb buffers; block id -> buffer
-     * index via a scratch dict (touched blocks are few, bits are many). */
-    PyObject *slots = PyDict_New();       /* block id (int) -> index (int) */
-    PyObject *result = PyDict_New();
-    uint64_t *buffers = NULL;
-    Py_ssize_t n_buffers = 0, cap_buffers = 0;
-    if (slots == NULL || result == NULL)
-        goto fail;
-    for (Py_ssize_t w = 0; w < mask_limbs; w++) {
-        uint64_t limb = read_limb(buf, preimage.len, w);
-        long long base = (long long)w * LIMB_BITS;
-        while (limb) {
-            long long q = base + CTZ64(limb);
-            limb &= limb - 1;
-            if (q >= n) {
-                PyErr_Format(PyExc_IndexError,
-                             "hopcroft_split: state %lld out of range for %zd blocks",
-                             q, n);
-                goto fail;
-            }
-            PyObject *block = items[q];
-            PyObject *slot = PyDict_GetItemWithError(slots, block);
-            Py_ssize_t index;
-            if (slot != NULL) {
-                index = PyLong_AsSsize_t(slot);
-            } else {
-                if (PyErr_Occurred())
-                    goto fail;
-                index = n_buffers;
-                if (n_buffers == cap_buffers) {
-                    Py_ssize_t cap = cap_buffers ? cap_buffers * 2 : 8;
-                    uint64_t *grown = PyMem_Realloc(
-                        buffers, (size_t)(cap * mask_limbs) * LIMB_BYTES);
-                    if (grown == NULL) {
-                        PyErr_NoMemory();
-                        goto fail;
-                    }
-                    buffers = grown;
-                    cap_buffers = cap;
-                }
-                memset(buffers + index * mask_limbs, 0,
-                       (size_t)mask_limbs * LIMB_BYTES);
-                n_buffers++;
-                PyObject *boxed = PyLong_FromSsize_t(index);
-                if (boxed == NULL)
-                    goto fail;
-                int rc = PyDict_SetItem(slots, block, boxed);
-                Py_DECREF(boxed);
-                if (rc < 0)
-                    goto fail;
-            }
-            buffers[index * mask_limbs + q / LIMB_BITS] |=
-                (uint64_t)1 << (q % LIMB_BITS);
-        }
-    }
-    /* Convert each accumulated buffer to a Python int, keyed by block. */
-    {
-        Py_ssize_t pos = 0;
-        PyObject *block, *slot;
-        while (PyDict_Next(slots, &pos, &block, &slot)) {
-            Py_ssize_t index = PyLong_AsSsize_t(slot);
-            PyObject *mask = int_from_u64(buffers + index * mask_limbs, mask_limbs);
-            if (mask == NULL)
-                goto fail;
-            int rc = PyDict_SetItem(result, block, mask);
-            Py_DECREF(mask);
-            if (rc < 0)
-                goto fail;
-        }
-    }
-    PyMem_Free(buffers);
-    Py_DECREF(slots);
-    Py_DECREF(seq);
-    PyBuffer_Release(&preimage);
-    return result;
-fail:
-    PyMem_Free(buffers);
-    Py_XDECREF(slots);
-    Py_XDECREF(result);
-    Py_DECREF(seq);
-    PyBuffer_Release(&preimage);
-    return NULL;
-}
-
-/* ------------------------------------------------------------------ */
 /* Module                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -724,8 +619,6 @@ static PyMethodDef kernels_methods[] = {
      "gf2_rank(rows_buf, n_rows, n_limbs) -> int: GF(2) rank by xor basis."},
     {"cells_of_rect", kernels_cells_of_rect, METH_VARARGS,
      "cells_of_rect(rows_buf, cols_buf, n_cols) -> int: row-major cell mask."},
-    {"hopcroft_split", kernels_hopcroft_split, METH_VARARGS,
-     "hopcroft_split(preimage_buf, block_of) -> dict[int, int]."},
     {NULL, NULL, 0, NULL},
 };
 

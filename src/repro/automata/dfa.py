@@ -204,8 +204,8 @@ def minimise(dfa: DFA) -> DFA:
     """Return the minimal complete DFA of the same language.
 
     Hopcroft partition refinement on the reachable, completed automaton
-    (:func:`repro.automata.packed.packed_minimise`: blocks and preimages
-    as big-int masks, "process the smaller half" worklist).  States of
+    (:func:`repro.automata.packed.packed_minimise`: per-symbol
+    predecessor lists, set blocks, "process the smaller half" worklist).  States of
     the result are integers ``0..k-1``, numbered by BFS from the initial
     block with ``0`` initial — the same canonical numbering as the Moore
     refinement this replaced, so outputs are identical.

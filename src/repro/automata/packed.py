@@ -1,9 +1,11 @@
 """Bit-parallel packed automata: states as indices, state sets as big-int masks.
 
-The automata substrate's hot algorithms — subset construction, DFA
-minimisation, the self-product unambiguity test, and transfer-matrix
-counting — all reduce to operations on *sets of states*.  This module
-stores those sets the same way :class:`repro.comm.packed.PackedMatrix`
+The automata substrate's hot algorithms — subset construction and the
+self-product unambiguity test — reduce to operations on *sets of
+states*.  (DFA minimisation and transfer-matrix counting are the
+exceptions: Hopcroft refinement moves states one at a time through
+predecessor lists, and counting works on sparse transfer rows.)  This
+module stores those sets the same way :class:`repro.comm.packed.PackedMatrix`
 stores matrix rows: one Python big integer per set, bit ``i`` set iff
 state ``i`` is in the set.  A :class:`PackedNFA` renumbers the states of
 an :class:`~repro.automata.nfa.NFA` to ``0..n-1`` (in canonical-encoding
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 from repro.automata.dfa import DFA
 from repro.automata.nfa import NFA, State
@@ -61,8 +64,13 @@ __all__ = [
     "packed_determinise",
     "packed_minimise",
     "packed_is_unambiguous",
-    "transfer_counts",
-    "nfa_transfer_counts",
+    "TransferProblem",
+    "dfa_transfer_problem",
+    "nfa_transfer_problem",
+    "GrowthProfile",
+    "growth_profile",
+    "count_by_power",
+    "count_by_sweep",
     "count_words_by_power",
     "count_words_by_sweep",
     "count_words_table",
@@ -458,7 +466,7 @@ def packed_determinise(pnfa: PackedNFA) -> PackedDFA:
 
 
 # ----------------------------------------------------------------------
-# Kernel 2: Hopcroft partition refinement over block masks
+# Kernel 2: Hopcroft partition refinement over predecessor lists
 # ----------------------------------------------------------------------
 
 
@@ -467,10 +475,12 @@ def packed_minimise(pdfa: PackedDFA) -> PackedDFA:
 
     Completes and restricts to reachable states, refines the
     accepting/rejecting partition with Hopcroft's "process the smaller
-    half" worklist (blocks and preimages are single big-int masks), and
-    relabels the quotient canonically by BFS from the initial block —
-    the same canonical numbering as the Moore implementation this
-    replaces, so outputs are byte-identical.
+    half" worklist over per-symbol predecessor lists, and relabels the
+    quotient canonically by BFS from the initial block — the same
+    canonical numbering as the Moore implementation this replaces, so
+    outputs are byte-identical.  Every step touches states one at a
+    time through plain lists, so a pass costs ``O(|Σ| · m log m)`` on
+    ``m`` reachable states, with no ``m``-bit mask anywhere.
     """
     n_symbols = len(pdfa.alphabet)
     n = pdfa.n_states
@@ -485,95 +495,101 @@ def packed_minimise(pdfa: PackedDFA) -> PackedDFA:
                     table[q] = sink
             table.append(sink)
     # Restrict to reachable states, renumbered in increasing index order.
-    reached = 1 << pdfa.initial
+    reached = bytearray(n)
+    reached[pdfa.initial] = 1
     frontier = [pdfa.initial]
     while frontier:
         q = frontier.pop()
         for table in tables:
             succ = table[q]
-            if not reached >> succ & 1:
-                reached |= 1 << succ
+            if not reached[succ]:
+                reached[succ] = 1
                 frontier.append(succ)
-    kept = list(iter_bits(reached))
+    kept = [q for q in range(n) if reached[q]]
     m = len(kept)
-    compress = {old: new for new, old in enumerate(kept)}
+    compress = [-1] * n
+    for new, old in enumerate(kept):
+        compress[old] = new
     ctables = [[compress[table[old]] for old in kept] for table in tables]
     initial = compress[pdfa.initial]
-    accepting = mask_of(compress[q] for q in iter_bits(pdfa.accepting_mask & reached))
+    # `bin` gives the accepting flags LSB-first in one C-level pass.
+    accepting_bits = bin(pdfa.accepting_mask)[:1:-1].ljust(n, "0")
+    is_accepting = [accepting_bits[old] == "1" for old in kept]
 
-    # Hopcroft refinement.  Blocks are masks over the compressed states,
-    # indexed by id; `block_of[q]` tracks each state's block.  The
-    # worklist holds block ids, and only blocks actually intersecting a
-    # splitter's preimage are touched (found by walking the preimage's
-    # set bits), which is what keeps the loop out of the quadratic
-    # all-blocks scan.
-    backend = get_backend()
-    pre = [[0] * m for _ in range(n_symbols)]
-    for s in range(n_symbols):
-        rows = pre[s]
-        table = ctables[s]
-        for q in range(m):
-            rows[table[q]] |= 1 << q
-    full = (1 << m) - 1
-    blocks = [block for block in (accepting, full ^ accepting) if block]
+    # Hopcroft refinement.  `pre[s][q]` lists the states entering `q` on
+    # symbol `s`; blocks are sets of states, indexed by id, and
+    # `block_of[q]` tracks each state's block.  The worklist holds block
+    # ids; a splitter's preimage is gathered state by state from the
+    # predecessor lists and grouped by block, so only blocks it actually
+    # meets are touched.
+    pre: list[list[list[int]]] = []
+    for table in ctables:
+        rows: list[list[int]] = [[] for _ in range(m)]
+        for p, q in enumerate(table):
+            rows[q].append(p)
+        pre.append(rows)
+    accepting_states = [q for q in range(m) if is_accepting[q]]
+    rejecting_states = [q for q in range(m) if not is_accepting[q]]
+    blocks = [set(states) for states in (accepting_states, rejecting_states) if states]
     block_of = [0] * m
     for block_id, block in enumerate(blocks):
-        for q in iter_bits(block):
+        for q in block:
             block_of[q] = block_id
     worklist: deque[int] = deque()
     pending: set[int] = set()
-    seed = min(range(len(blocks)), key=lambda b: blocks[b].bit_count())
+    seed = min(range(len(blocks)), key=lambda b: len(blocks[b]))
     worklist.append(seed)
     pending.add(seed)
     while worklist:
         splitter_id = worklist.popleft()
         pending.discard(splitter_id)
-        splitter = blocks[splitter_id]
-        for s in range(n_symbols):
-            preimage = backend.fold_rows(pre[s], splitter)
-            if not preimage:
-                continue
-            # Group the preimage by block, touching only affected blocks.
-            inside_of = backend.hopcroft_split(preimage, block_of)
+        splitter = list(blocks[splitter_id])
+        for rows in pre:
+            inside_of: dict[int, list[int]] = {}
+            for q in splitter:
+                for p in rows[q]:
+                    block_id = block_of[p]
+                    inside = inside_of.get(block_id)
+                    if inside is None:
+                        inside_of[block_id] = [p]
+                    else:
+                        inside.append(p)
             for block_id, inside in inside_of.items():
                 block = blocks[block_id]
-                if inside == block:
+                if len(inside) == len(block):
                     continue
-                outside = block ^ inside
-                blocks[block_id] = outside
+                block.difference_update(inside)
                 new_id = len(blocks)
-                blocks.append(inside)
-                for q in iter_bits(inside):
+                blocks.append(set(inside))
+                for q in inside:
                     block_of[q] = new_id
                 if block_id in pending:
                     pending.add(new_id)
                     worklist.append(new_id)
                 else:
-                    smaller = (
-                        new_id if inside.bit_count() <= outside.bit_count() else block_id
-                    )
+                    smaller = new_id if len(inside) <= len(block) else block_id
                     pending.add(smaller)
                     worklist.append(smaller)
 
     # Quotient + canonical BFS relabelling (same as the legacy numbering).
+    representative = [next(iter(block)) for block in blocks]
     block_succ = [
-        [block_of[ctables[s][(block & -block).bit_length() - 1]] for s in range(n_symbols)]
-        for block in blocks
+        [block_of[table[q]] for table in ctables] for q in representative
     ]
     relabel = {block_of[initial]: 0}
     order = [block_of[initial]]
     position = 0
     while position < len(order):
-        block_id = order[position]
-        for s in range(n_symbols):
-            succ = block_succ[block_id][s]
+        for succ in block_succ[order[position]]:
             if succ not in relabel:
                 relabel[succ] = len(order)
                 order.append(succ)
         position += 1
-    out_tables = [[relabel[block_succ[block_id][s]] for block_id in order] for s in range(n_symbols)]
-    out_accepting = mask_of(
-        relabel[block_id] for block_id in order if blocks[block_id] & accepting
+    out_tables = [
+        [relabel[block_succ[block_id][s]] for block_id in order] for s in range(n_symbols)
+    ]
+    out_accepting = int(
+        "".join("1" if is_accepting[representative[b]] else "0" for b in reversed(order)), 2
     )
     return PackedDFA(pdfa.alphabet, len(order), out_tables, 0, out_accepting)
 
@@ -693,90 +709,245 @@ def packed_is_unambiguous(pnfa: PackedNFA) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Kernel 4: exact transfer-matrix counting with repeated squaring
+# Kernel 4: exact transfer-matrix counting, swept or by repeated squaring
 # ----------------------------------------------------------------------
 
 
-def transfer_counts(pdfa: PackedDFA) -> list[list[int]]:
-    """``M[i][j]`` = number of symbols taking state ``i`` to state ``j``."""
-    n = pdfa.n_states
-    matrix = [[0] * n for _ in range(n)]
-    for table in pdfa.tables:
-        for q in range(n):
+class TransferProblem(NamedTuple):
+    """A counting problem restricted to its useful states.
+
+    ``adjacency[i]`` lists the ``(j, count)`` pairs of useful state
+    ``i``'s transfer-matrix row: ``count`` symbols (DFA) or transitions
+    (NFA, counting runs) lead from ``i`` to ``j``; ascending ``j``,
+    non-zero counts only.  ``vector`` is the length-0 count vector and
+    ``accepting`` the useful accepting indices.  With no useful state,
+    every field is empty.
+
+    A state off every initial→accepting path contributes nothing to any
+    count, but can dominate the *intermediate* entries of ``M^k`` — a
+    completion sink's self-loops count all ``|Σ|^k`` dead paths, turning
+    entries into ``Θ(k)``-bit integers even when the answer itself is
+    small — so both counting paths and the dispatch cost model work on
+    this restriction, built once per count.
+    """
+
+    adjacency: list[list[tuple[int, int]]]
+    vector: list[int]
+    accepting: list[int]
+
+
+def dfa_transfer_problem(pdfa: PackedDFA) -> TransferProblem:
+    """The useful restriction of ``pdfa``'s word-counting problem."""
+    rows = []
+    for q in range(pdfa.n_states):
+        counts: dict[int, int] = {}
+        for table in pdfa.tables:
             succ = table[q]
             if succ >= 0:
-                matrix[q][succ] += 1
-    return matrix
+                counts[succ] = counts.get(succ, 0) + 1
+        rows.append(sorted(counts.items()))
+    vector = [0] * pdfa.n_states
+    vector[pdfa.initial] = 1
+    return _useful_restriction(rows, vector, pdfa.accepting_mask)
 
 
-def nfa_transfer_counts(pnfa: PackedNFA) -> list[list[int]]:
-    """``M[i][j]`` = number of transitions ``(i, σ, j)`` (counts runs)."""
-    n = pnfa.n_states
-    matrix = [[0] * n for _ in range(n)]
-    for table in pnfa.tables:
-        for q in range(n):
+def nfa_transfer_problem(pnfa: PackedNFA) -> TransferProblem:
+    """The useful restriction of ``pnfa``'s run-counting problem."""
+    rows = []
+    for q in range(pnfa.n_states):
+        counts: dict[int, int] = {}
+        for table in pnfa.tables:
             for succ in iter_bits(table[q]):
-                matrix[q][succ] += 1
-    return matrix
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return get_backend().mat_mul(a, b)
-
-
-def _vec_mat(vector: list[int], matrix: list[list[int]]) -> list[int]:
-    return get_backend().vec_mat(vector, matrix)
-
-
-def _accepting_sum(vector: list[int], accepting_mask: int) -> int:
-    return sum(vector[j] for j in iter_bits(accepting_mask))
+                counts[succ] = counts.get(succ, 0) + 1
+        rows.append(sorted(counts.items()))
+    vector = [1 if pnfa.initial_mask >> q & 1 else 0 for q in range(pnfa.n_states)]
+    return _useful_restriction(rows, vector, pnfa.accepting_mask)
 
 
 def _useful_restriction(
-    matrix: list[list[int]], vector: list[int], accepting_mask: int
-) -> tuple[list[list[int]], list[int], int]:
-    """Restrict the counting problem to states on some initial→accepting path.
-
-    A state off every such path contributes nothing to the final sum, but
-    can dominate the *intermediate* entries of ``M^k`` — a completion
-    sink's self-loops count all ``|Σ|^k`` dead paths, turning entries
-    into ``Θ(k)``-bit integers even when the answer itself is small.
-    Dropping non-useful states keeps repeated squaring honest: entry
-    growth then reflects the counted language, not the completion.
-    """
+    adjacency: list[list[tuple[int, int]]], vector: list[int], accepting_mask: int
+) -> TransferProblem:
+    """Keep the states on some initial→accepting path, renumbered ascending."""
     n = len(vector)
-    forward = {i for i, value in enumerate(vector) if value}
-    stack = list(forward)
+    forward = bytearray(n)
+    stack = [i for i, value in enumerate(vector) if value]
+    for i in stack:
+        forward[i] = 1
     while stack:
-        i = stack.pop()
-        for j, count in enumerate(matrix[i]):
-            if count and j not in forward:
-                forward.add(j)
+        for j, _count in adjacency[stack.pop()]:
+            if not forward[j]:
+                forward[j] = 1
                 stack.append(j)
-    backward = {j for j in range(n) if accepting_mask >> j & 1}
-    stack = list(backward)
+    # Co-reachability only through forward states: every state on a path
+    # from a forward state is itself forward.
+    reverse: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(adjacency):
+        if forward[i]:
+            for j, _count in row:
+                reverse[j].append(i)
+    accepting_bits = bin(accepting_mask)[:1:-1]
+    useful = bytearray(n)
+    stack = [j for j, bit in enumerate(accepting_bits) if bit == "1" and forward[j]]
+    for j in stack:
+        useful[j] = 1
     while stack:
-        j = stack.pop()
-        for i in range(n):
-            if matrix[i][j] and i not in backward:
-                backward.add(i)
+        for i in reverse[stack.pop()]:
+            if not useful[i]:
+                useful[i] = 1
                 stack.append(i)
-    keep = sorted(forward & backward)
-    if len(keep) == n:
-        return matrix, vector, accepting_mask
-    sub_matrix = [[matrix[i][j] for j in keep] for i in keep]
-    sub_vector = [vector[i] for i in keep]
-    sub_accepting = sum(1 << k for k, i in enumerate(keep) if accepting_mask >> i & 1)
-    return sub_matrix, sub_vector, sub_accepting
+    keep = [i for i in range(n) if useful[i]]
+    compress = [-1] * n
+    for new, old in enumerate(keep):
+        compress[old] = new
+    return TransferProblem(
+        [[(compress[j], count) for j, count in adjacency[i] if useful[j]] for i in keep],
+        [vector[i] for i in keep],
+        [compress[j] for j, bit in enumerate(accepting_bits) if bit == "1" and useful[j]],
+    )
 
 
-def _count_by_power(matrix: list[list[int]], vector: list[int], accepting_mask: int, length: int) -> int:
+class GrowthProfile(NamedTuple):
+    """How the entries of ``M^k`` grow, read off the transfer graph.
+
+    ``polynomial`` is True iff every strongly connected component is
+    trivial or a single simple cycle with unit counts — its internal
+    transfer weight is at most its size.  Then a length-``L`` count is a
+    sum of ``poly(L)`` path products of ones and entries stay at
+    ``O(log L)`` bits; otherwise some component carries two cycles (or a
+    weighted one) through a common state, counts grow as ``2^Θ(L)`` and
+    entries reach ``Θ(L)`` bits.
+
+    ``long_pairs`` counts the pairs ``(i, j)`` joined by walks of
+    unbounded length (through some cyclic component) — the non-zero
+    pattern late powers ``M^K`` can fill — and ``long_triples`` the
+    triples ``(i, k, j)`` with both ``(i, k)`` and ``(k, j)`` long
+    pairs: the multiply-adds one late squaring can do.  Both are ``q²``
+    and ``q³`` on a strongly connected graph, and far fewer on chains.
+    """
+
+    polynomial: bool
+    long_pairs: int
+    long_triples: int
+
+
+def growth_profile(problem: TransferProblem) -> GrowthProfile:
+    """The :class:`GrowthProfile` of ``problem``'s transfer graph."""
+    adjacency = problem.adjacency
+    component = _strong_components(adjacency)
+    n_components = max(component, default=-1) + 1
+    size = [0] * n_components
+    weight = [0] * n_components
+    members = [0] * n_components
+    successors: list[set[int]] = [set() for _ in range(n_components)]
+    predecessors: list[set[int]] = [set() for _ in range(n_components)]
+    for i, row in enumerate(adjacency):
+        c = component[i]
+        size[c] += 1
+        members[c] |= 1 << i
+        for j, count in row:
+            d = component[j]
+            if d == c:
+                weight[c] += count
+            else:
+                successors[c].add(d)
+                predecessors[d].add(c)
+    # Tarjan numbers a component after every component it reaches, so
+    # ascending ids visit successors first and descending ids predecessors
+    # first.  A component is cyclic iff it has an internal edge.
+    reach = [0] * n_components
+    long_reach = [0] * n_components
+    for c in range(n_components):
+        below = members[c]
+        long_below = 0
+        for d in successors[c]:
+            below |= reach[d]
+            long_below |= long_reach[d]
+        reach[c] = below
+        long_reach[c] = long_below | below if weight[c] else long_below
+    reached_by = [0] * n_components
+    long_reached_by = [0] * n_components
+    for c in reversed(range(n_components)):
+        above = members[c]
+        long_above = 0
+        for d in predecessors[c]:
+            above |= reached_by[d]
+            long_above |= long_reached_by[d]
+        reached_by[c] = above
+        long_reached_by[c] = long_above | above if weight[c] else long_above
+    return GrowthProfile(
+        all(w <= s for w, s in zip(weight, size)),
+        sum(s * long_reach[c].bit_count() for c, s in enumerate(size)),
+        sum(
+            s * long_reached_by[c].bit_count() * long_reach[c].bit_count()
+            for c, s in enumerate(size)
+        ),
+    )
+
+
+def _strong_components(adjacency: list[list[tuple[int, int]]]) -> list[int]:
+    """Tarjan's algorithm, iterative: the component id of every state."""
+    n = len(adjacency)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    component = [-1] * n
+    counter = n_components = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work = [(root, 0)]
+        while work:
+            v, k = work[-1]
+            row = adjacency[v]
+            if k < len(row):
+                work[-1] = (v, k + 1)
+                w = row[k][0]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, 0))
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    component[w] = n_components
+                    if w == v:
+                        break
+                n_components += 1
+    return component
+
+
+def count_by_power(problem: TransferProblem, length: int) -> int:
+    """The length-``length`` count of ``problem`` by repeated squaring.
+
+    ``O(log length)`` exact products of the dense ``|Q_u| × |Q_u|``
+    transfer matrix (zero entries are skipped by the backend).
+    """
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    matrix, vector, accepting_mask = _useful_restriction(matrix, vector, accepting_mask)
-    if not vector:
+    n = len(problem.vector)
+    if not n:
         return 0
+    matrix = [[0] * n for _ in range(n)]
+    for i, row in enumerate(problem.adjacency):
+        dense = matrix[i]
+        for j, count in row:
+            dense[j] = count
     backend = get_backend()
+    vector = problem.vector
     remaining = length
     while remaining:
         if remaining & 1:
@@ -784,7 +955,21 @@ def _count_by_power(matrix: list[list[int]], vector: list[int], accepting_mask: 
         remaining >>= 1
         if remaining:
             matrix = backend.mat_mul(matrix, matrix)
-    return _accepting_sum(vector, accepting_mask)
+    return sum(vector[j] for j in problem.accepting)
+
+
+def count_by_sweep(problem: TransferProblem, length: int) -> int:
+    """The length-``length`` count of ``problem`` by ``length`` vector sweeps."""
+    if length < 0:
+        raise ValueError(f"length must be non-negative, got {length}")
+    n = len(problem.vector)
+    if not n:
+        return 0
+    sweep = get_backend().make_sweep_fn(problem.adjacency, n)
+    vector = problem.vector
+    for _ in range(length):
+        vector = sweep(vector)
+    return sum(vector[j] for j in problem.accepting)
 
 
 def count_words_by_power(pdfa: PackedDFA, length: int) -> int:
@@ -792,11 +977,10 @@ def count_words_by_power(pdfa: PackedDFA, length: int) -> int:
 
     ``O(|Q|³ log length)`` exact integer matrix products instead of
     ``length`` state sweeps — the win for long words over small automata
-    (``count_dfa_words_of_length(d, 2n)`` in ``O(log n)`` products).
+    whose counts grow slowly (``count_dfa_words_of_length(d, 2n)`` in
+    ``O(log n)`` products).
     """
-    vector = [0] * pdfa.n_states
-    vector[pdfa.initial] = 1
-    return _count_by_power(transfer_counts(pdfa), vector, pdfa.accepting_mask, length)
+    return count_by_power(dfa_transfer_problem(pdfa), length)
 
 
 def count_words_by_sweep(pdfa: PackedDFA, length: int) -> int:
@@ -806,15 +990,7 @@ def count_words_by_sweep(pdfa: PackedDFA, length: int) -> int:
     automata; exactly the legacy recurrence on integer vectors instead of
     per-state dicts.
     """
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
-    vector = [0] * pdfa.n_states
-    vector[pdfa.initial] = 1
-    adjacency = _adjacency(transfer_counts(pdfa))
-    sweep = get_backend().make_sweep_fn(adjacency, pdfa.n_states)
-    for _ in range(length):
-        vector = sweep(vector)
-    return _accepting_sum(vector, pdfa.accepting_mask)
+    return count_by_sweep(dfa_transfer_problem(pdfa), length)
 
 
 def count_words_table(pdfa: PackedDFA, max_length: int) -> dict[int, int]:
@@ -825,40 +1001,23 @@ def count_words_table(pdfa: PackedDFA, max_length: int) -> dict[int, int]:
     """
     if max_length < 0:
         raise ValueError(f"max_length must be non-negative, got {max_length}")
-    vector = [0] * pdfa.n_states
-    vector[pdfa.initial] = 1
-    adjacency = _adjacency(transfer_counts(pdfa))
-    sweep = get_backend().make_sweep_fn(adjacency, pdfa.n_states)
-    table = {0: _accepting_sum(vector, pdfa.accepting_mask)}
+    problem = dfa_transfer_problem(pdfa)
+    if not problem.vector:
+        return dict.fromkeys(range(max_length + 1), 0)
+    sweep = get_backend().make_sweep_fn(problem.adjacency, len(problem.vector))
+    vector = problem.vector
+    table = {0: sum(vector[j] for j in problem.accepting)}
     for length in range(1, max_length + 1):
         vector = sweep(vector)
-        table[length] = _accepting_sum(vector, pdfa.accepting_mask)
+        table[length] = sum(vector[j] for j in problem.accepting)
     return table
 
 
 def count_runs_by_power(pnfa: PackedNFA, length: int) -> int:
     """Exact accepting-run count at one length via repeated squaring."""
-    vector = [1 if pnfa.initial_mask >> q & 1 else 0 for q in range(pnfa.n_states)]
-    return _count_by_power(nfa_transfer_counts(pnfa), vector, pnfa.accepting_mask, length)
+    return count_by_power(nfa_transfer_problem(pnfa), length)
 
 
 def count_runs_by_sweep(pnfa: PackedNFA, length: int) -> int:
     """Exact accepting-run count at one length via vector sweeps."""
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
-    vector = [1 if pnfa.initial_mask >> q & 1 else 0 for q in range(pnfa.n_states)]
-    adjacency = _adjacency(nfa_transfer_counts(pnfa))
-    sweep = get_backend().make_sweep_fn(adjacency, pnfa.n_states)
-    for _ in range(length):
-        vector = sweep(vector)
-    return _accepting_sum(vector, pnfa.accepting_mask)
-
-
-def _adjacency(matrix: list[list[int]]) -> list[list[tuple[int, int]]]:
-    return [
-        [(j, count) for j, count in enumerate(row) if count] for row in matrix
-    ]
-
-
-def _sweep(vector: list[int], adjacency: list[list[tuple[int, int]]], n: int) -> list[int]:
-    return get_backend().make_sweep_fn(adjacency, n)(vector)
+    return count_by_sweep(nfa_transfer_problem(pnfa), length)

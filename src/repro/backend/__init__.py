@@ -1,11 +1,10 @@
 """Selectable kernel backends under the packed substrates.
 
 The hot algorithms of this repository — rectangle covers, rank,
-discrepancy, subset construction, Hopcroft minimisation, transfer-matrix
-counting, CNF bitset recognition — all bottom out in a small set of
-mask/matrix primitives.  This package defines that set as the
-:class:`Backend` protocol and ships three interchangeable
-implementations:
+discrepancy, subset construction, transfer-matrix counting, CNF bitset
+recognition — all bottom out in a small set of mask/matrix primitives.
+This package defines that set as the :class:`Backend` protocol and ships
+three interchangeable implementations:
 
 ``reference``
     The pure-python big-int kernels, extracted verbatim from their call
@@ -103,7 +102,6 @@ class Backend(Protocol):
     def superset_rows(self, allow: Sequence[int], cols: int) -> int: ...
     def and_reduce(self, table: Sequence[int], mask: int) -> int: ...
     def cells_of_rect(self, rows_mask: int, cols_mask: int, n_cols: int) -> int: ...
-    def hopcroft_split(self, preimage: int, block_of: Sequence[int]) -> dict[int, int]: ...
 
     # exact linear algebra
     def bareiss_rank(self, work: list[list[int]]) -> int: ...

@@ -2,7 +2,7 @@
 
 Times the same seeded workload on every *available* backend — one row
 per primitive family (rank, cover, determinise, count, discrepancy,
-indices, transpose, rect, split) — and cross-checks that all backends
+indices, transpose, rect) — and cross-checks that all backends
 return bit-identical results before any timing is trusted.  ``python -m
 repro bench backends`` drives this module and writes
 ``BENCH_backends.json``.
@@ -177,22 +177,6 @@ def _op_rect(rng: random.Random):
     return "cells_of_rect", f"{len(pairs)} cell masks on a {n_rows}x{n_cols} grid", run
 
 
-def _op_split(rng: random.Random):
-    """Hopcroft preimage splits over a partitioned state set."""
-    n = 400
-    block_of = [rng.randrange(6) for _ in range(n)]
-    preimages = _random_masks(rng, 32, n)
-
-    def run(backend: Backend) -> int:
-        acc = 0
-        for preimage in preimages:
-            for block_id, inside in backend.hopcroft_split(preimage, block_of).items():
-                acc ^= inside + block_id
-        return acc
-
-    return "hopcroft_split", f"{len(preimages)} preimage splits over {n} states", run
-
-
 _OPS = (
     ("rank", _op_rank),
     ("cover", _op_cover),
@@ -202,7 +186,6 @@ _OPS = (
     ("indices", _op_indices),
     ("transpose", _op_transpose),
     ("rect", _op_rect),
-    ("split", _op_split),
 )
 
 

@@ -25,8 +25,8 @@ What is overridden, and why:
   built and folded entirely in C (the subset-construction hot call);
 * ``gf2_rank`` — xor-basis elimination on flat limb arrays: no big-int
   allocation per reduction (the Theorem 17 rank bound path);
-* ``hopcroft_split`` / ``cells_of_rect`` — per-bit accumulation into C
-  buffers for Hopcroft refinement and rectangle-cover cell masks.
+* ``cells_of_rect`` — per-bit accumulation into C buffers for
+  rectangle-cover cell masks.
 
 What is deliberately **not** here: every kernel whose exact-integer
 semantics cannot live in fixed-width limbs.  ``bareiss_rank`` minors,
@@ -134,9 +134,6 @@ class CextBackend(WordsBackend):
         return self._kernels.cells_of_rect(
             mask_to_bytes(rows_mask), mask_to_limbs(cols_mask, n_cols), n_cols
         )
-
-    def hopcroft_split(self, preimage: int, block_of: Sequence[int]) -> dict[int, int]:
-        return self._kernels.hopcroft_split(mask_to_bytes(preimage), block_of)
 
     # -- exact linear algebra -----------------------------------------
 

@@ -12,8 +12,6 @@ verbatim, byte-for-byte in behaviour:
   — the elimination loops of :mod:`repro.comm.rank`;
 * :meth:`~ReferenceBackend.max_bilinear` — the Gray-code SWAR sweep of
   :mod:`repro.core.discrepancy`;
-* :meth:`~ReferenceBackend.hopcroft_split` — the preimage grouping of
-  ``packed_minimise``;
 * :meth:`~ReferenceBackend.mat_mul` / :meth:`~ReferenceBackend.vec_mat` /
   :meth:`~ReferenceBackend.make_sweep_fn` — the transfer-matrix counting
   arithmetic;
@@ -49,8 +47,8 @@ def fold_rows(table: Sequence[int], mask: int) -> int:
     """OR together ``table[i]`` for every set bit ``i`` of ``mask``.
 
     The workhorse of every mask kernel: one macro-step of an NFA, one
-    preimage in Hopcroft refinement, one frontier expansion of a
-    reachability fixpoint — all are folds of mask rows over a mask.
+    frontier expansion of a reachability fixpoint — both are folds of
+    mask rows over a mask.
 
     >>> fold_rows([0b01, 0b10, 0b11], 0b101)
     3
@@ -150,18 +148,6 @@ class ReferenceBackend:
         for i in iter_bits(rows_mask):
             cells |= cols_mask << (i * n_cols)
         return cells
-
-    def hopcroft_split(self, preimage: int, block_of: Sequence[int]) -> dict[int, int]:
-        """Group the set bits of ``preimage`` by their block id.
-
-        Returns ``{block_id: mask of preimage bits inside that block}`` —
-        the "touch only affected blocks" step of Hopcroft refinement.
-        """
-        inside_of: dict[int, int] = {}
-        for q in iter_bits(preimage):
-            block_id = block_of[q]
-            inside_of[block_id] = inside_of.get(block_id, 0) | 1 << q
-        return inside_of
 
     # -- exact linear algebra -----------------------------------------
 

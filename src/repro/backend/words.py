@@ -8,7 +8,7 @@ restructured around machine-word-sized pieces:
   (:func:`chunked_step_tables`, 10–15x on the determinise kernel);
 * GF(2) rank keeps an *xor basis* keyed by top bit instead of rebuilding
   the row list per pivot column (~2.5x);
-* row scans (``superset_rows``, ``and_reduce``, ``hopcroft_split``)
+* row scans (``superset_rows``, ``and_reduce``)
   iterate mask words directly with shift/AND arithmetic instead of
   index lookups or generator frames;
 * transfer-matrix sweeps split each adjacency row into its
@@ -203,16 +203,6 @@ class WordsBackend(ReferenceBackend):
             cells |= block << (start * n_cols)
             rows_mask &= rows_mask + (1 << start)  # clear the run
         return cells
-
-    def hopcroft_split(self, preimage: int, block_of: Sequence[int]) -> dict[int, int]:
-        inside_of: dict[int, int] = {}
-        get = inside_of.get
-        while preimage:
-            low = preimage & -preimage
-            block_id = block_of[low.bit_length() - 1]
-            inside_of[block_id] = get(block_id, 0) | low
-            preimage ^= low
-        return inside_of
 
     # -- exact linear algebra -----------------------------------------
 

@@ -140,16 +140,6 @@ def test_cells_of_rect_frozen_oracle():
     assert REFERENCE.cells_of_rect(0b101, 0b1, 3) == (1 << 6) | 1
 
 
-def test_hopcroft_split_matches(other):
-    rng = _rng(5)
-    for n in (1, 10, 63, 90):
-        block_of = [rng.randrange(4) for _ in range(n)]
-        for preimage in _masks(rng, 15, n) + [0, (1 << n) - 1]:
-            assert other.hopcroft_split(preimage, block_of) == REFERENCE.hopcroft_split(
-                preimage, block_of
-            )
-
-
 def test_bareiss_rank_matches(other):
     rng = _rng(6)
     for side in (1, 4, 9, 16):
@@ -456,7 +446,6 @@ def test_cext_delegation_rules():
         "fold_rows",
         "make_step_fn",
         "cells_of_rect",
-        "hopcroft_split",
         "gf2_rank",
     ):
         assert method in vars(CextBackend)  # overridden on the class itself
@@ -686,7 +675,6 @@ def test_bench_backends_smoke():
         "indices",
         "transpose",
         "rect",
-        "split",
     ]
     for row in result["rows"]:
         for name, cell in row["backends"].items():

@@ -10,10 +10,12 @@ representation, the UFA edge cases from ISSUE 5, and the
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -44,14 +46,22 @@ from repro.automata import (
     packed_minimise,
     trim_nfa,
 )
+from repro.automata.counting import count_path
 from repro.automata.packed import (
+    TransferProblem,
+    count_by_power,
+    count_by_sweep,
     count_runs_by_power,
     count_words_by_power,
     count_words_by_sweep,
+    dfa_transfer_problem,
     fold_rows,
+    growth_profile,
+    nfa_transfer_problem,
 )
+from repro.backend import available_backends, use_backend
 from repro.errors import AutomatonError
-from repro.languages.dfa_ln import ln_match_minimal_dfa, ln_minimal_dfa
+from repro.languages.dfa_ln import ln_match_minimal_dfa, ln_minimal_dfa, ln_unique_match_dfa
 from repro.languages.nfa_ln import ln_match_nfa, ln_nfa_exact
 from repro.words.alphabet import AB, Alphabet
 
@@ -304,7 +314,7 @@ class TestCountingAgreement:
 
     def test_power_equals_sweep_on_long_lengths(self):
         # The repeated-squaring path must agree bit-for-bit with the sweep
-        # on lengths that actually trigger it (length > 4·|Q|).
+        # on long lengths, where the dispatch can pick either.
         for n in range(1, 5):
             packed = as_packed_dfa(ln_match_minimal_dfa(n))
             for length in (4 * packed.n_states + 1, 64, 257):
@@ -570,3 +580,202 @@ class TestUsefulStateRestriction:
 
         dfa = DFA(AB, {0}, {}, 0, {0})
         assert count_words_by_power(as_packed_dfa(dfa), 0) == 1
+
+
+def _random_partial_dfa(seed: int, n_states: int) -> DFA:
+    """A seeded partial DFA whose high-numbered states are often unreachable."""
+    rng = random.Random(seed)
+    transitions = {}
+    for q in range(n_states):
+        for symbol in "ab":
+            if rng.random() < 0.75:
+                # Mostly backward edges, so later states tend to stay unreached.
+                transitions[(q, symbol)] = rng.randrange(min(n_states, q + 2))
+    accepting = {q for q in range(n_states) if rng.random() < 0.4}
+    return DFA(AB, range(n_states), transitions, 0, accepting)
+
+
+class TestMinimiseRegression:
+    """Predecessor-list Hopcroft: outputs identical to the mask version."""
+
+    def test_ln_match_13_fingerprint(self):
+        # Recorded from the block-mask implementation this replaced: the
+        # paper's 2^n + 1 minimal-DFA size for L_13, and a hash of the
+        # canonically numbered tables.
+        pdfa = packed_minimise(packed_determinise(as_packed_nfa(ln_match_nfa(13))))
+        payload = repr((pdfa.n_states, pdfa.tables, pdfa.initial, hex(pdfa.accepting_mask)))
+        assert pdfa.n_states == 8193 == 2**13 + 1
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "4b7cbb8068dbc3f32031e79ef89f1659307c1ec0cf8b3304a6e6d12069d9b63d"
+        )
+
+    @pytest.mark.parametrize("tier", available_backends())
+    def test_random_partial_dfas_with_unreachable_states(self, tier):
+        unreachable = 0
+        with use_backend(tier):
+            for seed in range(60):
+                dfa = _random_partial_dfa(seed, 3 + seed % 10)
+                unreachable += len(dfa.states) - len(dfa.reachable().states)
+                _assert_same_dfa(minimise(dfa), legacy_minimise(dfa))
+        assert unreachable > 0  # the family really exercises the restriction
+
+
+def _recorded_paths(monkeypatch) -> list[str]:
+    """Patch the counting entry points to record which path they take."""
+    from repro.automata import counting
+
+    paths: list[str] = []
+
+    def recorder(name, kernel):
+        def run(problem, length):
+            paths.append(name)
+            return kernel(problem, length)
+
+        return run
+
+    monkeypatch.setattr(counting, "count_by_power", recorder("power", counting.count_by_power))
+    monkeypatch.setattr(counting, "count_by_sweep", recorder("sweep", counting.count_by_sweep))
+    return paths
+
+
+class TestCountRouting:
+    """The growth-aware dispatch: deterministic routing pins and exactness."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("length", [1024, 4096])
+    def test_match_dfa_is_exponential_and_sweeps(self, n, length, monkeypatch):
+        dfa = ln_match_minimal_dfa(n)
+        for problem in (
+            dfa_transfer_problem(as_packed_dfa(dfa)),
+            nfa_transfer_problem(as_packed_nfa(dfa.to_nfa())),
+        ):
+            assert not growth_profile(problem).polynomial
+            assert count_path(problem, length) == "sweep"
+        paths = _recorded_paths(monkeypatch)
+        count_dfa_words_of_length(dfa, length)
+        count_nfa_runs_of_length(dfa.to_nfa(), length)
+        assert paths == ["sweep", "sweep"]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_unique_match_dfa_is_polynomial_and_squares(self, n, monkeypatch):
+        dfa = ln_unique_match_dfa(n)
+        for problem in (
+            dfa_transfer_problem(as_packed_dfa(dfa)),
+            nfa_transfer_problem(as_packed_nfa(dfa.to_nfa())),
+        ):
+            assert growth_profile(problem).polynomial
+            assert count_path(problem, 4096) == "power"
+        paths = _recorded_paths(monkeypatch)
+        assert count_dfa_words_of_length(dfa, 4096) == 4096 - n
+        assert count_nfa_runs_of_length(dfa.to_nfa(), 4096) == 4096 - n
+        assert paths == ["power", "power"]
+
+    def test_growth_profile_on_small_graphs(self):
+        def profile(rows, n):
+            return growth_profile(TransferProblem(rows, [1] + [0] * (n - 1), [n - 1]))
+
+        # A 3-cycle with unit counts: polynomial, dense long pattern.
+        cycle = profile([[(1, 1)], [(2, 1)], [(0, 1)]], 3)
+        assert cycle == (True, 9, 27)
+        # The same cycle with one doubled edge: exponential.
+        assert not profile([[(1, 2)], [(2, 1)], [(0, 1)]], 3).polynomial
+        # A loop-free chain: no long walks at all.
+        assert profile([[(1, 1)], [(2, 1)], []], 3) == (True, 0, 0)
+        # A chain between two unit self-loops stays polynomial and sparse.
+        ends = profile([[(0, 1), (1, 1)], [(2, 1)], [(2, 1)]], 3)
+        assert ends.polynomial and ends.long_pairs == 5
+
+    @pytest.mark.parametrize("tier", available_backends())
+    def test_both_paths_agree_on_a_grid(self, tier):
+        automata = []
+        for n in (1, 2, 3, 4):
+            automata.append(as_packed_dfa(ln_match_minimal_dfa(n)))
+            automata.append(as_packed_dfa(ln_unique_match_dfa(n)))
+            automata.append(as_packed_nfa(ln_match_nfa(n)))
+        automata.append(as_packed_dfa(DFA(AB, {0, 1}, {(0, "a"): 0, (0, "b"): 1}, 0, {1})))
+        with use_backend(tier):
+            for automaton in automata:
+                if isinstance(automaton, PackedDFA):
+                    problem = dfa_transfer_problem(automaton)
+                else:
+                    problem = nfa_transfer_problem(automaton)
+                for length in (0, 1, 2, 7, 64, 200):
+                    assert count_by_power(problem, length) == count_by_sweep(problem, length), (
+                        automaton,
+                        length,
+                    )
+
+    def test_negative_length_raises_before_routing(self, monkeypatch):
+        from repro.automata import counting
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("routing work before the length check")
+
+        for name in ("dfa_transfer_problem", "nfa_transfer_problem", "count_path"):
+            monkeypatch.setattr(counting, name, forbidden)
+        monkeypatch.setattr(PackedDFA, "from_dfa", forbidden)
+        monkeypatch.setattr(PackedNFA, "from_nfa", forbidden)
+        dfa = ln_unique_match_dfa(2)
+        with pytest.raises(ValueError):
+            count_dfa_words_of_length(dfa, -1)
+        with pytest.raises(ValueError):
+            count_nfa_runs_of_length(dfa.to_nfa(), -1)
+
+    def test_no_useful_state_counts_zero(self):
+        no_accepting = DFA(AB, {0, 1}, {(0, "a"): 1, (1, "b"): 0}, 0, set())
+        unreachable_accepting = DFA(AB, {0, 1}, {(0, "a"): 0}, 0, {1})
+        no_initial = NFA(AB, {0, 1}, {(0, "a"): {1}}, set(), {1})
+        for length in (0, 1, 5, 4096):
+            assert count_dfa_words_of_length(no_accepting, length) == 0
+            assert count_dfa_words_of_length(unreachable_accepting, length) == 0
+            assert count_nfa_runs_of_length(no_initial, length) == 0
+            assert count_nfa_runs_of_length(no_accepting.to_nfa(), length) == 0
+        assert dfa_transfer_problem(as_packed_dfa(no_accepting)) == ([], [], [])
+
+
+def _best_ms(kernel, problem, length, runs: int, stop_above: float = float("inf")) -> float:
+    """Best-of-``runs`` wall time in ms; stops early once the best exceeds ``stop_above``."""
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        kernel(problem, length)
+        best = min(best, (time.perf_counter() - start) * 1000)
+        if best > stop_above:
+            break
+    return best
+
+
+def test_dispatch_is_never_twice_as_slow():
+    """The routing gate: the chosen path is within 2x of the other path.
+
+    A best-of-3 grid over the L_n families and two seeded random complete
+    DFAs (|Q_u| <= 65, length <= 1024).
+    Differences under 2 ms are below timing resolution and pass.  The
+    path not chosen stops repeating once it is 4x slower than the chosen
+    one: a repeat would have to run twice as fast as all before it to
+    change the verdict, and the slowest cells then cost one run.
+    """
+    problems = []
+    for n in (1, 3, 5, 6):
+        problems.append((f"match{n}", dfa_transfer_problem(as_packed_dfa(ln_match_minimal_dfa(n)))))
+    for n in (2, 8, 40, 62):
+        problems.append((f"unique{n}", dfa_transfer_problem(as_packed_dfa(ln_unique_match_dfa(n)))))
+    for n in (3, 9):
+        problems.append((f"nfa{n}", nfa_transfer_problem(as_packed_nfa(ln_match_nfa(n)))))
+    for seed, n_states in ((7, 24), (11, 60)):
+        rng = random.Random(seed)
+        transitions = {(q, s): rng.randrange(n_states) for q in range(n_states) for s in "ab"}
+        dfa = DFA(AB, range(n_states), transitions, 0, set(rng.sample(range(n_states), 5)))
+        problems.append((f"random{seed}", dfa_transfer_problem(as_packed_dfa(dfa))))
+    kernels = {"power": count_by_power, "sweep": count_by_sweep}
+    slow = []
+    for name, problem in problems:
+        assert len(problem.vector) <= 65, name
+        for length in (16, 128, 1024):
+            chosen = count_path(problem, length)
+            other = "sweep" if chosen == "power" else "power"
+            chosen_ms = _best_ms(kernels[chosen], problem, length, 3)
+            other_ms = _best_ms(kernels[other], problem, length, 3, stop_above=4 * chosen_ms)
+            if chosen_ms > 2 * other_ms and chosen_ms - other_ms >= 2.0:
+                slow.append((name, length, chosen, round(chosen_ms, 2), round(other_ms, 2)))
+    assert not slow, slow
